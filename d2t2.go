@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"d2t2/internal/accel"
 	"d2t2/internal/einsum"
@@ -50,6 +51,8 @@ import (
 // Tensor is a sparse tensor in coordinate form.
 type Tensor struct {
 	coo *tensor.COO
+	// id memoizes the content address (Session.TensorID); Set clears it.
+	id atomic.Pointer[string]
 }
 
 // NewTensor creates an empty sparse tensor with the given dimensions.
@@ -59,7 +62,10 @@ func NewTensor(dims ...int) *Tensor {
 
 // Set appends a nonzero entry. Duplicate coordinates are summed when the
 // tensor is next normalized (any library call normalizes as needed).
-func (t *Tensor) Set(coord []int, val float64) { t.coo.Append(coord, val) }
+func (t *Tensor) Set(coord []int, val float64) {
+	t.coo.Append(coord, val)
+	t.id.Store(nil)
+}
 
 // Dims returns the dimension sizes.
 func (t *Tensor) Dims() []int { return append([]int(nil), t.coo.Dims...) }

@@ -2,6 +2,8 @@ package d2t2
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -339,5 +341,71 @@ func TestOptimizeHierarchyAPI(t *testing.T) {
 	// Errors: bad buffers.
 	if _, err := OptimizeHierarchy(Gustavson(), inputs, 10, 10); err == nil {
 		t.Fatal("L1 >= L2 accepted")
+	}
+}
+
+// TestPredictConfigDeterministic pins PredictConfig to bit-identical
+// results across calls on three-operand kernels, whose per-operand
+// input traffic must be summed in a fixed order.
+func TestPredictConfigDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	random := func(nnz int, dims ...int) *Tensor {
+		m := NewTensor(dims...)
+		coord := make([]int, len(dims))
+		for p := 0; p < nnz; p++ {
+			for a, d := range dims {
+				coord[a] = r.Intn(d)
+			}
+			m.Set(coord, 1)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		k      *Kernel
+		inputs Inputs
+		cfg    TileConfig
+	}{
+		{SDDMM(), Inputs{"S": random(2000, 300, 200), "A": random(3000, 300, 250), "B": random(1500, 250, 200)},
+			TileConfig{"i": 32, "j": 64, "k": 8}},
+		{MTTKRP(), Inputs{"A": random(3000, 70, 90, 110), "B": random(2000, 130, 90), "C": random(900, 130, 110)},
+			TileConfig{"i": 8, "j": 16, "k": 16, "l": 8}},
+	} {
+		first, err := PredictConfig(c.k, c.inputs, c.cfg, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 100; i++ {
+			got, err := PredictConfig(c.k, c.inputs, c.cfg, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(first) {
+				t.Fatalf("%s call %d: %v, first call %v", c.k.expr, i, got, first)
+			}
+		}
+	}
+}
+
+// TestTensorIDMemoFollowsSet checks that the content address memoized
+// on a tensor is dropped when the tensor changes.
+func TestTensorIDMemoFollowsSet(t *testing.T) {
+	s := NewSession(nil)
+	a := NewTensor(8, 8)
+	a.Set([]int{1, 2}, 1)
+	first, err := s.TensorID(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Set([]int{3, 4}, 2)
+	second, err := s.TensorID(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.TensorID(a.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first || second != fresh {
+		t.Fatalf("after Set: id %s, before %s, fresh clone %s", second, first, fresh)
 	}
 }

@@ -58,18 +58,30 @@ func (n *testNode) kill() {
 	}))
 }
 
-// newTestCluster starts n clustered nodes with the given replication
-// factor and returns them; everything is torn down with the test.
+// newTestCluster starts n clustered disk-backed nodes with the given
+// replication factor and returns them; everything is torn down with
+// the test.
 func newTestCluster(t testing.TB, n, replication int) []*testNode {
+	t.Helper()
+	return newTestClusterWith(t, n, func() serve.Config {
+		return serve.Config{CacheDir: t.TempDir(), Replication: replication}
+	})
+}
+
+// newTestClusterWith starts n clustered nodes, each configured by
+// nodeCfg plus the membership and secret the harness fills in.
+func newTestClusterWith(t testing.TB, n int, nodeCfg func() serve.Config) []*testNode {
 	t.Helper()
 	const secret = "e2e-cluster-secret"
 	nodes := make([]*testNode, n)
 	urls := make([]string, n)
+	listeners := make([]*httptest.Server, n)
 	for i := range nodes {
 		p := &handlerProxy{}
 		p.h.Store(http.NotFoundHandler())
 		ts := httptest.NewServer(p)
 		t.Cleanup(ts.Close)
+		listeners[i] = ts
 		nodes[i] = &testNode{url: ts.URL, proxy: p}
 		urls[i] = ts.URL
 	}
@@ -80,21 +92,33 @@ func newTestCluster(t testing.TB, n, replication int) []*testNode {
 				peers = append(peers, u)
 			}
 		}
-		s, err := serve.New(serve.Config{
-			CacheDir:      t.TempDir(),
-			Peers:         peers,
-			SelfURL:       nd.url,
-			ClusterSecret: secret,
-			Replication:   replication,
-			PeerTimeout:   20 * time.Second,
-		})
+		cfg := nodeCfg()
+		cfg.Peers = peers
+		cfg.SelfURL = nd.url
+		cfg.ClusterSecret = secret
+		cfg.PeerTimeout = 20 * time.Second
+		s, err := serve.New(cfg)
 		if err != nil {
 			t.Fatalf("node %d New: %v", i, err)
 		}
 		nd.srv = s
 		nd.proxy.h.Store(s.Handler())
-		t.Cleanup(func() { s.Shutdown(context.Background()) })
 	}
+	// Registered after every node's cache dir, so it runs before their
+	// removal: every node stops (its replication pushes with it) and
+	// every listener closes first. Stopping node by node would let a
+	// live peer's push land in a stopped node's directory while the
+	// directory is being deleted.
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			if nd.srv != nil {
+				nd.srv.Shutdown(context.Background())
+			}
+		}
+		for _, ts := range listeners {
+			ts.Close()
+		}
+	})
 	return nodes
 }
 
@@ -690,4 +714,35 @@ func TestClusterBatchRoutesToOwners(t *testing.T) {
 		return
 	}
 	t.Fatalf("no candidate tile owned by a peer; extend the tile list")
+}
+
+// TestMemoryOnlyPeerFetchFromRegistry pins the memory-only peer fetch:
+// with no disk layer and a memory budget too small to keep any
+// artifact, a tensor survives only in its ingesting node's registry.
+// Every other node must still resolve it through a peer fetch, which a
+// node holding the tensor answers by re-encoding its artifact.
+func TestMemoryOnlyPeerFetchFromRegistry(t *testing.T) {
+	nodes := newTestClusterWith(t, 3, func() serve.Config {
+		return serve.Config{MemCacheBytes: 1, Replication: 1}
+	})
+	id := ingestGen(t, nodes[0], "C", 32)
+	for i, nd := range nodes[1:] {
+		resp, err := http.Get(nd.url + "/v1/tensors/" + id + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d stats: status %d: %s", i+1, resp.StatusCode, body)
+		}
+	}
+	// Node 2 may fetch from node 1, which registered the tensor on its
+	// own fetch; either way every answer came from a registry.
+	if n := nodes[0].srv.Metric("internal_artifact_serves"); n < 1 {
+		t.Fatal("the ingesting node served no artifact")
+	}
+	if n := sumMetric(nodes, "internal_artifact_serves"); n < 2 {
+		t.Fatalf("nodes served %d artifacts, want one per fetching node", n)
+	}
 }

@@ -65,8 +65,7 @@ type enginePlan struct {
 	outOrderPos []int32 // loop depth binding each output axis
 	outTileDims []int32
 	outDims     []int64
-	outLevels   []int32 // output axes in dataflow (level) order
-	accSize     int     // product of outTileDims
+	accSize     int // product of outTileDims
 
 	refs []engineRef
 
@@ -142,9 +141,6 @@ func compileEngine(r *runner) *enginePlan {
 		p.outTileDims = append(p.outTileDims, checked.Int32(r.outTileDims[a]))
 		p.outDims = append(p.outDims, int64(r.outDims[a]))
 		p.outOrderPos = append(p.outOrderPos, checked.Int32(r.e.OrderPos(r.e.Out.Indices[a])))
-	}
-	for _, a := range r.outLevels {
-		p.outLevels = append(p.outLevels, checked.Int32(a))
 	}
 	for d := 0; d < r.depth; d++ {
 		var bs []bindRef

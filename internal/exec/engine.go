@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"d2t2/internal/par"
@@ -435,81 +434,19 @@ func (s *engineState) chain(st *joinStep, en *entryList) {
 }
 
 // flushTile closes an output-tile scope: the touched cells' CSF
-// footprint (level-order sort, fiber counting by coordinate divergence,
-// overflow chunking) charged to the output traffic — the same
-// arithmetic as the walker's flushOutput over its map keys.
+// footprint charged to the output traffic through the walker's own
+// routine (Traffic.addOutputTile).
 func (s *engineState) flushTile() {
-	p := s.p
-	nnz := len(s.touched)
-	if nnz == 0 {
+	if len(s.touched) == 0 {
 		return
 	}
-	t := &s.traffic
-	if p.host.opts.ValuesOnly {
-		t.Output += int64(nnz)
-		t.OutputWrites++
-		t.OutputNNZ += int64(nnz)
-		return
+	host := s.p.host
+	ord := s.ord[:0]
+	for _, idx := range s.touched {
+		ord = append(ord, host.outLay.levelKey(uint64(idx)))
 	}
-	if cap(s.ord) < nnz {
-		s.ord = make([]uint64, nnz+nnz/2)
-	}
-	ord := s.ord[:nnz]
-	nOut := p.nOut
-	for i, idx := range s.touched {
-		k := idx
-		var c [maxEngineOut]int32
-		for a := nOut - 1; a >= 0; a-- {
-			td := p.outTileDims[a]
-			c[a] = k % td
-			k /= td
-		}
-		var o uint64
-		for _, a := range p.outLevels {
-			o = o*uint64(p.outTileDims[a]) + uint64(c[a])
-		}
-		ord[i] = o
-	}
-	slices.Sort(ord)
-	var prev [maxEngineOut]int32
-	var fibers [maxEngineOut]int
-	for i, o := range ord {
-		var c [maxEngineOut]int32
-		for l := nOut - 1; l >= 0; l-- {
-			td := uint64(p.outTileDims[p.outLevels[l]])
-			//d2t2:ignore coordwidth the modulus is bounded by the int32 output tile dimension; this is the per-tile flush loop
-			c[l] = int32(o % td)
-			o /= td
-		}
-		div := 0
-		if i > 0 {
-			for div < nOut && c[div] == prev[div] {
-				div++
-			}
-		}
-		for l := div; l < nOut; l++ {
-			fibers[l]++
-		}
-		prev = c
-	}
-	words := nnz
-	for l := 0; l < nOut; l++ {
-		words += fibers[l]
-		if l == 0 {
-			words += 2
-		} else {
-			words += fibers[l-1] + 1
-		}
-	}
-	writes := int64(1)
-	if b := p.host.opts.OutputBufferWords; b > 0 && words > b {
-		writes = int64((words + b - 1) / b)
-		words += int(writes-1) * (nOut + 2)
-		t.OutputOverflows += writes - 1
-	}
-	t.Output += int64(words)
-	t.OutputWrites += writes
-	t.OutputNNZ += int64(nnz)
+	s.ord = ord
+	s.traffic.addOutputTile(host.outLay, ord, &host.opts)
 }
 
 // mergeInto folds this worker's counters into the host runner — exact

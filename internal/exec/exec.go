@@ -195,11 +195,11 @@ type runner struct {
 	prods [][]int // summands as indices into refs
 	depth int     // number of loop levels
 
-	outDepth    int   // loop depth after which the output is written
-	outAxisVar  []int // per loop depth: output axis bound, or -1
-	outTileDims []int // tile size per output axis
-	outDims     []int // full size per output axis
-	outLevels   []int // output axes sorted by dataflow position
+	outDepth    int        // loop depth after which the output is written
+	outAxisVar  []int      // per loop depth: output axis bound, or -1
+	outTileDims []int      // tile size per output axis
+	outDims     []int      // full size per output axis
+	outLay      *outLayout // output tile geometry in dataflow (level) order
 
 	traffic Traffic
 	opts    Options
@@ -208,6 +208,7 @@ type runner struct {
 	bound []int32 // bound outer coordinate per depth
 
 	outAcc  map[uint64]float64 // output accumulator within outDepth scope
+	ord     []uint64           // flushOutput scratch: level-order keys
 	collect map[uint64]float64 // global output accumulator (optional)
 
 	// topOnly restricts the outermost loop to one coordinate value
@@ -317,7 +318,7 @@ func newRunner(e *einsum.Expr, tensors map[string]*tiling.TiledTensor, opts *Opt
 		r.outTileDims[a] = t
 		r.outDims[a] = varDim[ix]
 	}
-	r.outLevels = e.LevelOrder(e.Out)
+	r.outLay = newOutLayout(r.outTileDims, e.LevelOrder(e.Out))
 
 	r.traffic.Input = make(map[string]int64)
 	if r.opts.CollectOutput {
@@ -360,7 +361,7 @@ func (r *runner) clone() *runner {
 		outAxisVar:  r.outAxisVar,
 		outTileDims: r.outTileDims,
 		outDims:     r.outDims,
-		outLevels:   r.outLevels,
+		outLay:      r.outLay,
 		opts:        r.opts,
 		bound:       make([]int32, r.depth),
 		topOnly:     -1,

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/formats"
@@ -204,76 +204,15 @@ func appendCSFEntries(e *entryList, csf *formats.CSF, off []int32) {
 // flushOutput writes the accumulated output tile: its CSF footprint is
 // added to the output traffic.
 func (r *runner) flushOutput() {
-	nnz := len(r.outAcc)
-	if nnz == 0 {
+	if len(r.outAcc) == 0 {
 		return
 	}
-	if r.opts.ValuesOnly {
-		r.traffic.Output += int64(nnz)
-		r.traffic.OutputWrites++
-		r.traffic.OutputNNZ += int64(nnz)
-		return
-	}
-	keys := make([]uint64, 0, nnz)
+	ord := r.ord[:0]
 	for k := range r.outAcc {
-		keys = append(keys, k)
+		ord = append(ord, r.outLay.levelKey(k))
 	}
-	// Decode inner coordinates and order them by the output level order.
-	nOut := len(r.e.Out.Indices)
-	coords := make([][]int32, nnz)
-	for i, k := range keys {
-		c := make([]int32, nOut)
-		for a := nOut - 1; a >= 0; a-- {
-			c[a] = checked.Int32(int(k % uint64(r.outTileDims[a])))
-			k /= uint64(r.outTileDims[a])
-		}
-		coords[i] = c
-	}
-	lv := r.outLevels
-	sort.Slice(coords, func(x, y int) bool {
-		for _, a := range lv {
-			if coords[x][a] != coords[y][a] {
-				return coords[x][a] < coords[y][a]
-			}
-		}
-		return false
-	})
-	// CSF footprint: values + per-level coordinate and segment words.
-	words := nnz
-	fibers := make([]int, nOut)
-	for i := range coords {
-		div := 0
-		if i > 0 {
-			for div = 0; div < nOut; div++ {
-				if coords[i][lv[div]] != coords[i-1][lv[div]] {
-					break
-				}
-			}
-		}
-		for l := div; l < nOut; l++ {
-			fibers[l]++
-		}
-	}
-	for l := 0; l < nOut; l++ {
-		words += fibers[l] // coordinates
-		if l == 0 {
-			words += 2
-		} else {
-			words += fibers[l-1] + 1
-		}
-	}
-	writes := int64(1)
-	if b := r.opts.OutputBufferWords; b > 0 && words > b {
-		// Overflow streaming (§6): the tile leaves the chip in
-		// ceil(words/b) chunks; every extra chunk repeats the per-partial
-		// segment overhead (root segment bounds plus a descriptor word).
-		writes = int64((words + b - 1) / b)
-		words += int(writes-1) * (nOut + 2)
-		r.traffic.OutputOverflows += writes - 1
-	}
-	r.traffic.Output += int64(words)
-	r.traffic.OutputWrites += writes
-	r.traffic.OutputNNZ += int64(nnz)
+	r.ord = ord
+	words := r.traffic.addOutputTile(r.outLay, ord, &r.opts)
 	if r.opts.Trace != nil {
 		outOuter := make([]int, len(r.e.Out.Indices))
 		for a, oix := range r.e.Out.Indices {
@@ -281,4 +220,97 @@ func (r *runner) flushOutput() {
 		}
 		r.trace("write", "OUT", outOuter, int64(words))
 	}
+}
+
+// outLayout is the output-tile geometry both backends flush through.
+// It maps a cell's axis-order index within the tile (the walker's
+// accumulator key, the engine's dense accumulator index) to its
+// level-order key, whose ascending order is the output CSF's storage
+// order.
+type outLayout struct {
+	tileDims    []uint64 // per output axis: tile extent
+	levelStride []uint64 // per output axis: its stride in the level-order key
+	// prefixDiv[l] divides a level-order key down to its level 0..l
+	// prefix: the product of the tile extents of the deeper levels.
+	prefixDiv []uint64
+}
+
+func newOutLayout(tileDims, levels []int) *outLayout {
+	n := len(tileDims)
+	o := &outLayout{
+		tileDims:    make([]uint64, n),
+		levelStride: make([]uint64, n),
+		prefixDiv:   make([]uint64, n),
+	}
+	for a, td := range tileDims {
+		o.tileDims[a] = uint64(td)
+	}
+	div := uint64(1)
+	for l := n - 1; l >= 0; l-- {
+		o.prefixDiv[l] = div
+		o.levelStride[levels[l]] = div
+		div *= o.tileDims[levels[l]]
+	}
+	return o
+}
+
+// levelKey re-packs an axis-order cell index as its level-order key.
+func (o *outLayout) levelKey(k uint64) uint64 {
+	var key uint64
+	for a := len(o.tileDims) - 1; a >= 0; a-- {
+		td := o.tileDims[a]
+		key += k % td * o.levelStride[a]
+		k /= td
+	}
+	return key
+}
+
+// addOutputTile charges one output-tile write to t — the single
+// output-CSF footprint routine of the walker's flushOutput and the
+// engine's flushTile. ord holds the tile's distinct nonzero cells as
+// level-order keys and is sorted in place. It returns the words
+// written.
+func (t *Traffic) addOutputTile(o *outLayout, ord []uint64, opts *Options) int {
+	nnz := len(ord)
+	nOut := len(o.prefixDiv)
+	words := nnz
+	if opts.ValuesOnly {
+		t.Output += int64(nnz)
+		t.OutputWrites++
+		t.OutputNNZ += int64(nnz)
+		return words
+	}
+	if nOut > 0 {
+		// CSF footprint: the values, nOut+1 fixed segment bounds (two
+		// for the root segment, one extra per deeper segment array), and
+		// per fiber a coordinate word plus, above the last level, a
+		// segment word. Sorted keys open new fibers at every level from
+		// the first one where they diverge from their predecessor.
+		slices.Sort(ord)
+		words += nOut + 1
+		for i, v := range ord {
+			div := 0
+			if i > 0 {
+				for div < nOut && v/o.prefixDiv[div] == ord[i-1]/o.prefixDiv[div] {
+					div++
+				}
+			}
+			if div < nOut {
+				words += 2*(nOut-div) - 1
+			}
+		}
+	}
+	writes := int64(1)
+	if b := opts.OutputBufferWords; b > 0 && words > b {
+		// Overflow streaming (§6): the tile leaves the chip in
+		// ceil(words/b) chunks; every extra chunk repeats the per-partial
+		// segment overhead (root segment bounds plus a descriptor word).
+		writes = int64((words + b - 1) / b)
+		words += int(writes-1) * (nOut + 2)
+		t.OutputOverflows += writes - 1
+	}
+	t.Output += int64(words)
+	t.OutputWrites += writes
+	t.OutputNNZ += int64(nnz)
+	return words
 }

@@ -25,6 +25,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"d2t2/internal/checked"
@@ -176,11 +177,20 @@ type Prediction struct {
 	Output float64
 }
 
-// InputTotal returns the summed predicted input traffic.
+// InputTotal returns the summed predicted input traffic. It sums in
+// operand-name order: float addition is not associative, so summing in
+// map order would let three-operand predictions differ in the last
+// digit from call to call.
 func (p *Prediction) InputTotal() float64 {
+	var buf [8]string
+	names := buf[:0]
+	for name := range p.Input {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	s := 0.0
-	for _, v := range p.Input {
-		s += v
+	for _, name := range names {
+		s += p.Input[name]
 	}
 	return s
 }

@@ -225,7 +225,10 @@ func (s *Server) requireClusterAuth(h http.HandlerFunc) http.HandlerFunc {
 // handleInternalArtifactGet serves one artifact's raw bytes, framed
 // and checksummed, from the LOCAL layers only — a peer's read-through
 // must never recurse into another peer fetch, or two nodes missing the
-// same key would chase each other.
+// same key would chase each other. A tensor address whose artifact has
+// left the store (a memory-only store's LRU) is still held by the
+// registry, so its TENS artifact is re-encoded from the tensor: the
+// encoding is canonical, so the bytes are the ones ingest stored.
 func (s *Server) handleInternalArtifactGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !IsContentAddress(key) {
@@ -233,6 +236,11 @@ func (s *Server) handleInternalArtifactGet(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	b, _, err := s.store.Get(key)
+	if err == nil && b == nil {
+		if t, ok := s.tensors.get(key); ok {
+			b, err = snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.COO()})
+		}
+	}
 	if err != nil || b == nil {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("artifact %q not held", key))
 		return

@@ -32,6 +32,9 @@ type Config struct {
 	// memory only.
 	CacheDir string
 	// MemCacheBytes bounds the in-memory artifact layer (default 64 MiB).
+	// With a CacheDir it also bounds the resident tensor registry:
+	// registered tensors beyond it are dropped least recently used
+	// first and reloaded from their artifacts on the next request.
 	MemCacheBytes int64
 	// Workers bounds how many requests run compute at once — every
 	// CPU-heavy job (ingest parsing, the optimize/predict/stats cold
@@ -229,8 +232,9 @@ type Server struct {
 	// finish, so /readyz stops advertising the node while it drains.
 	draining atomic.Bool
 
+	tensors *tensorRegistry // content address -> registered tensor
+
 	mu      sync.Mutex
-	tensors map[string]*d2t2.Tensor // content address -> registered tensor
 	httpSrv *http.Server
 }
 
@@ -252,7 +256,13 @@ func New(cfg Config) (*Server, error) {
 		store:   store,
 		pool:    newPool(cfg.Workers),
 		metrics: newMetrics(),
-		tensors: make(map[string]*d2t2.Tensor),
+	}
+	// Only a disk-backed server can reload an evicted tensor, so only it
+	// bounds the registry (see tensorRegistry).
+	if cfg.CacheDir != "" {
+		s.tensors = newTensorRegistry(cfg.MemCacheBytes)
+	} else {
+		s.tensors = newTensorRegistry(0)
 	}
 	if len(cfg.Peers) > 0 {
 		s.cluster, err = newClusterState(cfg)
@@ -646,8 +656,9 @@ func (s *Server) ingest(ctx context.Context, asJSON bool, body []byte) (ingestRe
 // registerTensor registers a normalized tensor under its content address
 // and persists the tensor artifact so later process lives (and, when
 // clustered, peers) can resolve the address. Returns the canonical
-// registered tensor — the first registration wins so the session memo
-// stays keyed to one value — and whether the content was already known.
+// registered tensor — the first registration wins, so concurrent
+// uploads of one content share a value — and whether the content was
+// already known.
 // A failed store write is counted and skips replication: pushing an
 // artifact the local node could not durably hold would advertise state
 // it cannot back.
@@ -656,15 +667,8 @@ func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d
 	if err != nil {
 		return "", nil, false, err
 	}
-	s.mu.Lock()
-	existing, ok := s.tensors[id]
+	t, ok := s.tensors.add(id, t, false)
 	if !ok {
-		s.tensors[id] = t
-	}
-	s.mu.Unlock()
-	if ok {
-		t = existing
-	} else {
 		s.metrics.add("tensors_registered", 1)
 	}
 
@@ -672,10 +676,12 @@ func (s *Server) registerTensor(ctx context.Context, t *d2t2.Tensor) (string, *d
 	if !cached {
 		if b, _ := s.storeGet(ctx, id); b != nil {
 			cached = true
+			s.tensors.markStored(id)
 		} else if b, err := snapshot.EncodeBytes(&snapshot.Artifact{Tensor: t.COO()}); err == nil {
 			if perr := s.store.Put(id, b); perr != nil {
 				s.metrics.add("store_put_errors", 1)
 			} else {
+				s.tensors.markStored(id)
 				s.maybeReplicate(id, b)
 			}
 		}
@@ -966,9 +972,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	n := len(s.tensors)
-	s.mu.Unlock()
+	n := s.tensors.len()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"version": buildinfo.Version,
@@ -1300,10 +1304,7 @@ func (s *Server) resolveInputs(ctx context.Context, orders map[string]int, ids m
 // run of the daemon, or — through the peer rung — an ingest that landed
 // on another cluster node).
 func (s *Server) tensorByID(ctx context.Context, id string) (*d2t2.Tensor, error) {
-	s.mu.Lock()
-	t, ok := s.tensors[id]
-	s.mu.Unlock()
-	if ok {
+	if t, ok := s.tensors.get(id); ok {
 		return t, nil
 	}
 	b, _ := s.storeGet(ctx, id)
@@ -1317,15 +1318,11 @@ func (s *Server) tensorByID(ctx context.Context, id string) (*d2t2.Tensor, error
 	if a.Tensor == nil {
 		return nil, fmt.Errorf("artifact %q holds no tensor", id)
 	}
-	t = d2t2.FromCOO(a.Tensor)
-	s.mu.Lock()
-	if prior, ok := s.tensors[id]; ok {
-		t = prior // lost the reload race; keep one canonical value
-	} else {
-		s.tensors[id] = t
+	// A reload that loses a race keeps the first registered value.
+	t, ok := s.tensors.add(id, d2t2.FromCOO(a.Tensor), true)
+	if !ok {
 		s.metrics.add("tensors_registered", 1)
 	}
-	s.mu.Unlock()
 	return t, nil
 }
 

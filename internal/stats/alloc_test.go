@@ -92,3 +92,42 @@ func TestMergeAllocs(t *testing.T) {
 		t.Errorf("Merge allocates %.0f times per call, ceiling %d", avg, ceiling)
 	}
 }
+
+// TestEvalShapeAllocs gates the optimizer's per-candidate shape
+// evaluation. The slab aggregation reuses pooled scratch, so a call
+// allocates only its result: the ShapeStats header, its per-axis and
+// per-level slices, and the exactly sized group tables — 11 at the
+// measured steady state. The ceiling leaves 5 for a pool refill after
+// a GC cycle drops the scratch.
+func TestEvalShapeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		name  string
+		m     *tensor.COO
+		base  []int
+		shape []int
+	}{
+		{"matrix", gen.PowerLawGraph(r, 2048, 200_000, 1.7), []int{64, 64}, []int{128, 64}},
+		{"order3", gen.RandomTensor3(r, 256, 256, 256, 100_000, [3]float64{1, 0.5, 0}), []int{16, 16, 16}, []int{32, 16, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, err := Collect(tc.m, tc.base, nil, &Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(20, func() {
+				if _, err := s.EvalShape(tc.shape); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("allocs/op: %.0f", avg)
+			const ceiling = 16
+			if avg > ceiling {
+				t.Errorf("EvalShape allocates %.0f times per call, ceiling %d", avg, ceiling)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"d2t2/internal/tensor"
@@ -17,8 +19,10 @@ import (
 type corrPlan struct {
 	dim      int
 	maxShift int
-	needed   []bool
-	sources  []int
+	// stride spaces the sampled source positions: sources are exactly
+	// the multiples of stride below dim.
+	stride int
+	needed []bool
 }
 
 func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
@@ -36,9 +40,8 @@ func newCorrPlan(dim, maxShift, sampleTarget int) *corrPlan {
 	if sampleTarget > 0 && dim > sampleTarget {
 		stride = dim / sampleTarget
 	}
-	pl := &corrPlan{dim: dim, maxShift: maxShift, needed: make([]bool, dim)}
+	pl := &corrPlan{dim: dim, maxShift: maxShift, stride: stride, needed: make([]bool, dim)}
 	for k := 0; k < dim; k += stride {
-		pl.sources = append(pl.sources, k)
 		for s := 0; s <= maxShift && k+s < dim; s++ {
 			pl.needed[k+s] = true
 		}
@@ -91,43 +94,111 @@ func (pl *corrPlan) gather(t *tensor.COO, axis int) (off []int32, flat []uint64)
 // finalize replays the overlap accumulation over a gathered (or merged)
 // accumulator: for positions k and k+s along the axis, the overlap
 // between the rest-key multisets of their entries, summed over sampled k
-// and normalized so shift 0 is 1. The replay is deterministic given the
-// sorted per-position multisets, so identical accumulators yield
-// byte-identical curves regardless of how they were assembled.
+// and normalized so shift 0 is 1.
+//
+// The overlap of two sorted multisets is Σ_key min(count_k, count_{k+s}),
+// so it is computed per rest-key fiber: the (rest key, position) pairs
+// are sorted once, and each fiber adds min(count_p, count_q) to
+// overlap[q-p] for every sampled source p and every q within maxShift
+// of it. The overlaps are integer counts, summed exactly, and convert
+// to float64 exactly below 2^53 entries — so the curve is bit-identical
+// to summing per-source float intersections in any order, and identical
+// accumulators yield byte-identical curves however they were assembled.
 func (pl *corrPlan) finalize(off []int32, flat []uint64) []float64 {
-	rest := func(k int) []uint64 { return flat[off[k]:off[k+1]] }
-	overlap := make([]float64, pl.maxShift+1)
-	base := 0.0
-	for _, k := range pl.sources {
-		lk := rest(k)
-		if len(lk) == 0 {
-			continue
-		}
-		base += float64(len(lk))
-		for s := 0; s <= pl.maxShift && k+s < pl.dim; s++ {
-			ls := rest(k + s)
-			if len(ls) == 0 {
-				continue
-			}
-			overlap[s] += float64(sortedIntersection(lk, ls))
-		}
-	}
+	overlap := make([]int64, pl.maxShift+1)
+	pl.fiberOverlaps(off, flat, overlap)
 	out := make([]float64, pl.maxShift+1)
+	// Shift 0 pairs every source entry with itself: the base count.
+	base := float64(overlap[0])
 	if base == 0 {
 		out[0] = 1
 		return out
 	}
 	for s := range out {
-		out[s] = overlap[s] / base
-	}
-	// Normalize so shift 0 is exactly 1 (it equals base by construction).
-	if out[0] > 0 && out[0] != 1 {
-		for s := range out {
-			out[s] /= out[0]
-		}
+		out[s] = float64(overlap[s]) / base
 	}
 	out[0] = 1
 	return out
+}
+
+// fiberOverlaps adds, for every rest-key fiber, min(count_p, count_q)
+// to overlap[q-p] over sampled sources p and positions p <= q <=
+// p+maxShift. The pairs sort as one packed uint64 when the rest key and
+// the position fit together, and as structs otherwise.
+func (pl *corrPlan) fiberOverlaps(off []int32, flat []uint64, overlap []int64) {
+	var maxKey uint64
+	for _, k := range flat {
+		maxKey = max(maxKey, k)
+	}
+	posBits := bits.Len(uint(pl.dim - 1))
+	var fiber fiberScan
+	if bits.Len64(maxKey)+posBits <= 64 {
+		packed := make([]uint64, 0, len(flat))
+		for k := 0; k < pl.dim; k++ {
+			for _, key := range flat[off[k]:off[k+1]] {
+				packed = append(packed, key<<posBits|uint64(k))
+			}
+		}
+		slices.Sort(packed)
+		mask := uint64(1)<<posBits - 1
+		for i, v := range packed {
+			if i > 0 && v>>posBits != packed[i-1]>>posBits {
+				fiber.flush(pl, overlap)
+			}
+			fiber.add(int(v & mask))
+		}
+	} else {
+		type pair struct {
+			key uint64
+			pos int
+		}
+		pairs := make([]pair, 0, len(flat))
+		for k := 0; k < pl.dim; k++ {
+			for _, key := range flat[off[k]:off[k+1]] {
+				pairs = append(pairs, pair{key, k})
+			}
+		}
+		slices.SortFunc(pairs, func(x, y pair) int {
+			if c := cmp.Compare(x.key, y.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.pos, y.pos)
+		})
+		for i, p := range pairs {
+			if i > 0 && p.key != pairs[i-1].key {
+				fiber.flush(pl, overlap)
+			}
+			fiber.add(p.pos)
+		}
+	}
+	fiber.flush(pl, overlap)
+}
+
+// fiberScan run-length encodes one rest-key fiber's ascending positions.
+type fiberScan struct {
+	pos, cnt []int
+}
+
+func (f *fiberScan) add(p int) {
+	if n := len(f.pos); n > 0 && f.pos[n-1] == p {
+		f.cnt[n-1]++
+		return
+	}
+	f.pos = append(f.pos, p)
+	f.cnt = append(f.cnt, 1)
+}
+
+// flush adds the fiber's overlap counts and empties it.
+func (f *fiberScan) flush(pl *corrPlan, overlap []int64) {
+	for i, p := range f.pos {
+		if p%pl.stride != 0 {
+			continue
+		}
+		for j := i; j < len(f.pos) && f.pos[j]-p <= pl.maxShift; j++ {
+			overlap[f.pos[j]-p] += int64(min(f.cnt[i], f.cnt[j]))
+		}
+	}
+	f.pos, f.cnt = f.pos[:0], f.cnt[:0]
 }
 
 // corrsAxis computes the paper's Corrs statistic (Eq. 11) generalized to
@@ -141,24 +212,6 @@ func corrsAxis(t *tensor.COO, axis, maxShift, sampleTarget int) []float64 {
 	pl := newCorrPlan(t.Dims[axis], maxShift, sampleTarget)
 	off, flat := pl.gather(t, axis)
 	return pl.finalize(off, flat)
-}
-
-// sortedIntersection returns |a ∩ b| for sorted slices.
-func sortedIntersection(a, b []uint64) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // tileCorrs computes the paper's TileCorrs statistic (Eq. 12) with the

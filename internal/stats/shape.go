@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"d2t2/internal/checked"
 	"d2t2/internal/tensor"
@@ -254,111 +257,77 @@ func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 		area *= float64(tileDims[a])
 	}
 
-	// Aggregation state is laid out flat — an index map into an []agg
-	// slice, []bool occupancy per axis over one backing array, and prefix
-	// sets only for the middle levels (the first level's prefix count is
-	// the axis occupancy of Order[0]; the last level's is NumTiles, both
-	// free) — so the per-micro-key loop below allocates nothing. This is
-	// the optimizer's hottest loop: EvalShape runs per (ref, candidate
-	// shape) and ms.keys is the full micro-tile population.
-	type agg struct {
-		nnz, fp int
-	}
-	gid := make(map[uint64]int32, len(ms.keys)/2+1)
-	aggs := make([]agg, 0, len(ms.keys)/2+1)
-	gkeys := make([]uint64, 0, len(ms.keys)/2+1)
+	sc := shapeScratchPool.Get().(*shapeScratch)
+	defer shapeScratchPool.Put(sc)
+	sc.aggregate(ms, factors, out.OuterDims)
+	numTiles := len(sc.gfp)
+
+	// Axis occupancy and the middle-level prefix counts come from the
+	// groups, not the micro keys: a group is one distinct outer
+	// coordinate. The level-0 prefix count is the axis occupancy of
+	// Order[0] and the full prefix count is NumTiles, so only middle
+	// levels (order >= 3) sort packed prefixes.
 	occTotal := 0
 	for a := 0; a < n; a++ {
 		occTotal += out.OuterDims[a]
 	}
-	occBack := make([]bool, occTotal)
-	axisOcc := make([][]bool, n)
+	sc.occ = slices.Grow(sc.occ[:0], occTotal)[:occTotal]
+	clear(sc.occ)
+	for g := 0; g < numTiles; g++ {
+		oc := sc.outer[g*n : (g+1)*n]
+		for a, off := 0, 0; a < n; a++ {
+			sc.occ[off+int(oc[a])] = true
+			off += out.OuterDims[a]
+		}
+	}
 	for a, off := 0, 0; a < n; a++ {
-		axisOcc[a] = occBack[off : off+out.OuterDims[a] : off+out.OuterDims[a]]
-		off += out.OuterDims[a]
-	}
-	var prefixOcc []map[uint64]struct{}
-	if n > 2 {
-		prefixOcc = make([]map[uint64]struct{}, n)
-		for l := 1; l < n-1; l++ {
-			prefixOcc[l] = make(map[uint64]struct{})
-		}
-	}
-	mc := make([]int, n)
-	oc := make([]int, n)
-	for idx, k := range ms.keys {
-		tiling.UnkeyInto(mc, k)
-		for a := range oc {
-			oc[a] = mc[a] / factors[a]
-			axisOcc[a][oc[a]] = true
-		}
-		if n > 2 {
-			pk := uint64(oc[s.Order[0]])
-			for l := 1; l < n-1; l++ {
-				pk = pk<<21 | uint64(oc[s.Order[l]])
-				prefixOcc[l][pk] = struct{}{}
-			}
-		}
-		gk := tiling.Key(oc)
-		g, ok := gid[gk]
-		if !ok {
-			g = checked.Int32(len(aggs))
-			gid[gk] = g
-			aggs = append(aggs, agg{})
-			gkeys = append(gkeys, gk)
-		}
-		aggs[g].nnz += int(ms.nnz[idx])
-		aggs[g].fp += int(ms.footprint[idx])
-	}
-	out.Order = append([]int(nil), s.Order...)
-	out.PrefixOccupied = make([]int, n)
-	for a := 0; a < n; a++ {
 		cnt := 0
-		for _, b := range axisOcc[a] {
+		for _, b := range sc.occ[off : off+out.OuterDims[a]] {
 			if b {
 				cnt++
 			}
 		}
 		out.Occupied[a] = cnt
+		off += out.OuterDims[a]
 	}
-	// The level-0 prefix is just the first level's axis coordinate and the
-	// full prefix is the whole outer coordinate, so both counts come from
-	// state already built; only middle levels (order ≥ 3) need real sets.
+	out.Order = append([]int(nil), s.Order...)
+	out.PrefixOccupied = make([]int, n)
 	if n > 0 {
 		out.PrefixOccupied[0] = out.Occupied[s.Order[0]]
-		out.PrefixOccupied[n-1] = len(aggs)
+		out.PrefixOccupied[n-1] = numTiles
 	}
 	for l := 1; l < n-1; l++ {
-		out.PrefixOccupied[l] = len(prefixOcc[l])
+		sc.prefix = sc.prefix[:0]
+		for g := 0; g < numTiles; g++ {
+			oc := sc.outer[g*n : (g+1)*n]
+			pk := uint64(oc[s.Order[0]])
+			for m := 1; m <= l; m++ {
+				pk = pk<<21 | uint64(oc[s.Order[m]])
+			}
+			sc.prefix = append(sc.prefix, pk)
+		}
+		slices.Sort(sc.prefix)
+		out.PrefixOccupied[l] = len(slices.Compact(sc.prefix))
 	}
 
-	out.NumTiles = len(aggs)
+	// The groups arrive in ascending tile-key order, the canonical
+	// enumeration; the outputs are sized exactly.
+	out.NumTiles = numTiles
 	out.FPScale = ms.fpScale
+	ocBack := make([]int32, n*numTiles)
+	copy(ocBack, sc.outer)
+	out.GroupOuter = make([][]int32, numTiles)
+	out.GroupFP = make([]float64, numTiles)
 	totalFP, totalNNZ := 0, 0
-	// Sort the groups by key through a permutation so the enumeration
-	// below is canonical regardless of first-appearance order.
-	perm := make([]int, len(gkeys))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool { return gkeys[perm[x]] < gkeys[perm[y]] })
-	out.GroupOuter = make([][]int32, 0, len(aggs))
-	out.GroupFP = make([]float64, 0, len(aggs))
-	ocBack := make([]int32, n*len(aggs))
-	for gi, pi := range perm {
-		g := aggs[pi]
-		totalFP += g.fp
-		totalNNZ += g.nnz
-		if g.fp > out.MaxTile {
-			out.MaxTile = g.fp
+	for g := 0; g < numTiles; g++ {
+		fp := sc.gfp[g]
+		totalFP += fp
+		totalNNZ += sc.gnnz[g]
+		if fp > out.MaxTile {
+			out.MaxTile = fp
 		}
-		tiling.UnkeyInto(mc, gkeys[pi])
-		oc32 := ocBack[gi*n : (gi+1)*n : (gi+1)*n]
-		for a, v := range mc {
-			oc32[a] = checked.Int32(v)
-		}
-		out.GroupOuter = append(out.GroupOuter, oc32)
-		out.GroupFP = append(out.GroupFP, float64(g.fp))
+		out.GroupOuter[g] = ocBack[g*n : (g+1)*n : (g+1)*n]
+		out.GroupFP[g] = float64(fp)
 	}
 	if out.NumTiles > 0 {
 		out.MaxTileBound = out.MaxTile
@@ -383,6 +352,151 @@ func (s *Stats) EvalShape(tileDims []int) (*ShapeStats, error) {
 		}
 	}
 	return out, nil
+}
+
+// denseSlabCells caps the dense scratch one axis-0 slab aggregates
+// into (the product of the other axes' outer extents). Above it a
+// slab's group keys are sorted instead. At the cap the pooled scratch
+// is about 1.3 MB: a stamp and two sums per cell.
+const denseSlabCells = 1 << 16
+
+// shapeScratch is EvalShape's reusable aggregation state. It is pooled
+// so the optimizer's concurrent sweep workers each reuse one; nothing
+// in it outlives an EvalShape call.
+type shapeScratch struct {
+	// Dense slab cells, indexed by the row-major outer coordinate over
+	// axes 1..n-1. A cell is live in the current slab when its stamp
+	// equals epoch, so moving to the next slab clears nothing.
+	stamp   []uint32
+	nnz, fp []int
+	epoch   uint32
+	touched []int
+	// slab holds the current slab's micro entries when the dense cells
+	// would exceed denseSlabCells.
+	slab []slabEntry
+	// The groups (non-empty tiles) in ascending tile-key order: n outer
+	// coordinates each (axis order) and the summed nnz and footprint.
+	outer     []int32
+	gnnz, gfp []int
+
+	mc, oc []int
+	occ    []bool
+	prefix []uint64
+}
+
+type slabEntry struct {
+	key     uint64 // tiling.Key of the tile's outer coordinate
+	nnz, fp int
+}
+
+var shapeScratchPool = sync.Pool{New: func() any { return new(shapeScratch) }}
+
+// aggregate groups the micro summary into tiles of factors micro tiles
+// per axis, filling sc's group tables in ascending tile-key order.
+//
+// ms.keys ascend in tiling.Key order, whose most significant field is
+// the axis-0 micro coordinate, so the tile's axis-0 outer coordinate
+// never decreases: the keys split into consecutive slabs, one per
+// axis-0 outer coordinate, and every group of a slab sorts before every
+// group of the next. Each slab is summed into the dense cells (or, when
+// those are too many, sorted by tile key) and emitted in key order; the
+// row-major cell index orders exactly like the tile key within a slab.
+func (sc *shapeScratch) aggregate(ms *microSummary, factors, outerDims []int) {
+	n := len(factors)
+	sc.outer, sc.gnnz, sc.gfp = sc.outer[:0], sc.gnnz[:0], sc.gfp[:0]
+	sc.mc = slices.Grow(sc.mc[:0], n)[:n]
+	sc.oc = slices.Grow(sc.oc[:0], n)[:n]
+	cells, dense := 1, true
+	for a := 1; a < n && dense; a++ {
+		cells *= outerDims[a]
+		dense = cells <= denseSlabCells
+	}
+	if dense && len(sc.stamp) < cells {
+		sc.stamp = make([]uint32, cells)
+		sc.nnz = make([]int, cells)
+		sc.fp = make([]int, cells)
+	}
+	sc.nextEpoch()
+	mc := sc.mc
+	slab := -1
+	for idx, k := range ms.keys {
+		tiling.UnkeyInto(mc, k)
+		if o0 := mc[0] / factors[0]; o0 != slab {
+			sc.flushSlab(slab, outerDims, dense)
+			slab = o0
+		}
+		nnz, fp := int(ms.nnz[idx]), int(ms.footprint[idx])
+		if !dense {
+			for a := range sc.oc {
+				sc.oc[a] = mc[a] / factors[a]
+			}
+			sc.slab = append(sc.slab, slabEntry{key: tiling.Key(sc.oc), nnz: nnz, fp: fp})
+			continue
+		}
+		c := 0
+		for a := 1; a < n; a++ {
+			c = c*outerDims[a] + mc[a]/factors[a]
+		}
+		if sc.stamp[c] != sc.epoch {
+			sc.stamp[c] = sc.epoch
+			sc.nnz[c], sc.fp[c] = 0, 0
+			sc.touched = append(sc.touched, c)
+		}
+		sc.nnz[c] += nnz
+		sc.fp[c] += fp
+	}
+	sc.flushSlab(slab, outerDims, dense)
+}
+
+// flushSlab emits the groups of axis-0 outer coordinate slab (none when
+// slab < 0) in ascending tile-key order and resets the slab state.
+func (sc *shapeScratch) flushSlab(slab int, outerDims []int, dense bool) {
+	if slab < 0 {
+		return
+	}
+	n := len(outerDims)
+	if dense {
+		slices.Sort(sc.touched)
+		for _, c := range sc.touched {
+			base := len(sc.outer)
+			sc.outer = slices.Grow(sc.outer, n)[:base+n]
+			sc.outer[base] = checked.Int32(slab)
+			for a, r := n-1, c; a >= 1; a-- {
+				sc.outer[base+a] = checked.Int32(r % outerDims[a])
+				r /= outerDims[a]
+			}
+			sc.gnnz = append(sc.gnnz, sc.nnz[c])
+			sc.gfp = append(sc.gfp, sc.fp[c])
+		}
+		sc.touched = sc.touched[:0]
+		sc.nextEpoch()
+		return
+	}
+	slices.SortFunc(sc.slab, func(x, y slabEntry) int { return cmp.Compare(x.key, y.key) })
+	for i := 0; i < len(sc.slab); {
+		key, nnz, fp := sc.slab[i].key, 0, 0
+		for ; i < len(sc.slab) && sc.slab[i].key == key; i++ {
+			nnz += sc.slab[i].nnz
+			fp += sc.slab[i].fp
+		}
+		tiling.UnkeyInto(sc.oc, key)
+		for _, v := range sc.oc {
+			sc.outer = append(sc.outer, checked.Int32(v))
+		}
+		sc.gnnz = append(sc.gnnz, nnz)
+		sc.gfp = append(sc.gfp, fp)
+	}
+	sc.slab = sc.slab[:0]
+}
+
+// nextEpoch retires every dense cell's stamp, clearing the stamps only
+// when the epoch counter wraps.
+func (sc *shapeScratch) nextEpoch() {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
 }
 
 // MicroDims returns the micro tile dimensions candidate shapes must be

@@ -52,7 +52,7 @@ type PartialCache interface {
 // an external StatsCache the memo lives (bounded) in the cache;
 // otherwise the session keeps collected statistics in-process for its
 // lifetime. Tensors handed to a session must not be mutated afterwards —
-// their content address is memoized by identity.
+// their content address is memoized on the tensor.
 //
 // A Session is safe for concurrent use. Concurrent first requests for
 // the same tensor may collect twice; collection is deterministic, so
@@ -74,7 +74,6 @@ type Session struct {
 	mu    sync.Mutex
 	memo  map[string]*stats.Stats
 	pmemo map[string]*stats.Partial
-	ids   map[*Tensor]string
 }
 
 // NewSession returns a session backed by the given cache (nil for a
@@ -85,7 +84,6 @@ func NewSession(cache StatsCache) *Session {
 		calib: model.NewCalibration(),
 		memo:  make(map[string]*stats.Stats),
 		pmemo: make(map[string]*stats.Partial),
-		ids:   make(map[*Tensor]string),
 	}
 }
 
@@ -113,21 +111,17 @@ func (s *Session) CalibrationBias(k *Kernel, analytic bool) float64 {
 }
 
 // TensorID returns the tensor's content address ("sha256:..." of the
-// canonical COO encoding), memoized per tensor.
+// canonical COO encoding), memoized on the tensor itself so the memo
+// lives exactly as long as the tensor does.
 func (s *Session) TensorID(t *Tensor) (string, error) {
-	s.mu.Lock()
-	if id, ok := s.ids[t]; ok {
-		s.mu.Unlock()
-		return id, nil
+	if id := t.id.Load(); id != nil {
+		return *id, nil
 	}
-	s.mu.Unlock()
 	id, err := snapshot.TensorID(t.coo)
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.ids[t] = id
-	s.mu.Unlock()
+	t.id.Store(&id)
 	return id, nil
 }
 
